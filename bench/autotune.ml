@@ -45,52 +45,31 @@ let arm_alarm ~quick =
 
 let opts (b : Rio.Bundle.t) = b.Rio.Bundle.b_opts
 let pool_cfg (b : Rio.Bundle.t) = b.Rio.Bundle.b_pool
-let set_opts (b : Rio.Bundle.t) o = { b with Rio.Bundle.b_opts = o }
 
 (* ------------------------------------------------------------------ *)
 (* Knob space                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** One searchable dimension: a printable name, the candidate settings
-    (as strings, so the trial log and the JSON speak the same
-    language), and get/set against a bundle.  Setting a knob may
-    produce an invalid bundle — validation happens at trial time and
-    the refusal is recorded, not raised. *)
-type knob = {
-  k_name : string;
-  k_values : string list;
-  k_get : Rio.Bundle.t -> string;
-  k_set : Rio.Bundle.t -> string -> Rio.Bundle.t;
-}
+(** A searchable dimension is an engine knob of the registry
+    ({!Rio.Options.engine_knobs}) and its candidate settings, as strings
+    so the trial log and the JSON speak the same language (["none"] is
+    an absent int option).  Setting a knob may produce an invalid
+    bundle — validation happens at trial time and the refusal is
+    recorded, not raised. *)
+let knob_get (b : Rio.Bundle.t) name : string =
+  match Rio.Options.find_knob Rio.Options.engine_knobs name with
+  | Knob { kind = K_int; get; _ } -> string_of_int (get (opts b))
+  | Knob { kind = K_int_opt; get; _ } ->
+      Option.fold ~none:"none" ~some:string_of_int (get (opts b))
+  | Knob _ -> invalid_arg ("autotune: not an integer knob: " ^ name)
 
-let int_knob name values get set =
-  {
-    k_name = name;
-    k_values = List.map string_of_int values;
-    k_get = (fun b -> string_of_int (get b));
-    k_set = (fun b v -> set b (int_of_string v));
-  }
-
-let bool_knob name get set =
-  {
-    k_name = name;
-    k_values = [ "false"; "true" ];
-    k_get = (fun b -> string_of_bool (get b));
-    k_set = (fun b v -> set b (bool_of_string v));
-  }
-
-(* int-option knobs print [None] as "none" *)
-let opt_int_knob name values get set =
-  {
-    k_name = name;
-    k_values = values;
-    k_get =
-      (fun b ->
-        match get b with None -> "none" | Some n -> string_of_int n);
-    k_set =
-      (fun b v ->
-        set b (if v = "none" then None else Some (int_of_string v)));
-  }
+let knob_set (b : Rio.Bundle.t) name v : Rio.Bundle.t =
+  let with_opts o = { b with Rio.Bundle.b_opts = o } in
+  match Rio.Options.find_knob Rio.Options.engine_knobs name with
+  | Knob { kind = K_int; set; _ } -> with_opts (set (opts b) (int_of_string v))
+  | Knob { kind = K_int_opt; set; _ } ->
+      with_opts (set (opts b) (if v = "none" then None else Some (int_of_string v)))
+  | Knob _ -> invalid_arg ("autotune: not an integer knob: " ^ name)
 
 (** The searched surface.  Quick mode trims values (CI budget), full
     mode searches the lot.  Deliberately excluded: the cost model
@@ -100,48 +79,23 @@ let opt_int_knob name values get set =
     deque bounds) — the objective is simulated cycles per request,
     which scheduling cannot change, only smear with noise; pool sizing
     stays a deployment choice carried by the bundle's pool block. *)
-let knob_space ~quick : knob list =
+let knob_space ~quick : (string * string list) list =
   let base =
     [
-      int_knob "opt_level" [ 0; 1; 2; 3 ]
-        (fun b -> (opts b).Rio.Options.opt_level)
-        (fun b v -> set_opts b { (opts b) with Rio.Options.opt_level = v });
-      int_knob "trace_threshold"
-        (if quick then [ 25; 50 ] else [ 25; 50; 100 ])
-        (fun b -> (opts b).Rio.Options.trace_threshold)
-        (fun b v ->
-          set_opts b { (opts b) with Rio.Options.trace_threshold = v });
-      opt_int_knob "reopt_threshold"
-        (if quick then [ "none"; "2" ] else [ "none"; "2"; "8" ])
-        (fun b -> (opts b).Rio.Options.reopt_threshold)
-        (fun b v ->
-          set_opts b { (opts b) with Rio.Options.reopt_threshold = v });
-      int_knob "spec_threshold"
-        (if quick then [ 4; 8 ] else [ 4; 8; 16 ])
-        (fun b -> (opts b).Rio.Options.spec_threshold)
-        (fun b v ->
-          set_opts b { (opts b) with Rio.Options.spec_threshold = v });
+      ("opt_level", [ "0"; "1"; "2"; "3" ]);
+      ("trace_threshold", if quick then [ "25"; "50" ] else [ "25"; "50"; "100" ]);
+      ("reopt_threshold", if quick then [ "none"; "2" ] else [ "none"; "2"; "8" ]);
+      ("spec_threshold", if quick then [ "4"; "8" ] else [ "4"; "8"; "16" ]);
     ]
   in
   if quick then base
   else
     base
     @ [
-        int_knob "max_trace_blocks" [ 8; 16; 32 ]
-          (fun b -> (opts b).Rio.Options.max_trace_blocks)
-          (fun b v ->
-            set_opts b { (opts b) with Rio.Options.max_trace_blocks = v });
-        int_knob "spec_max_violations" [ 1; 3; 8 ]
-          (fun b -> (opts b).Rio.Options.spec_max_violations)
-          (fun b v ->
-            set_opts b { (opts b) with Rio.Options.spec_max_violations = v });
-        opt_int_knob "cache_capacity" [ "none"; "16384"; "65536" ]
-          (fun b -> (opts b).Rio.Options.cache_capacity)
-          (fun b v ->
-            set_opts b { (opts b) with Rio.Options.cache_capacity = v });
-        int_knob "quantum" [ 50_000; 100_000; 200_000 ]
-          (fun b -> (opts b).Rio.Options.quantum)
-          (fun b v -> set_opts b { (opts b) with Rio.Options.quantum = v });
+        ("max_trace_blocks", [ "8"; "16"; "32" ]);
+        ("spec_max_violations", [ "1"; "3"; "8" ]);
+        ("cache_capacity", [ "none"; "16384"; "65536" ]);
+        ("quantum", [ "50000"; "100000"; "200000" ]);
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -272,15 +226,15 @@ let descend ~score ~knobs ~phase start start_m =
     incr sweep;
     improved := false;
     List.iter
-      (fun k ->
+      (fun (name, values) ->
         List.iter
           (fun v ->
-            if v <> k.k_get !best then
-              let cand = k.k_set !best v in
+            if v <> knob_get !best name then
+              let cand = knob_set !best name v in
               match
                 score
                   ~phase:(Printf.sprintf "%s/sweep%d" phase !sweep)
-                  ~desc:(k.k_name ^ "=" ^ v) cand
+                  ~desc:(name ^ "=" ^ v) cand
               with
               | Trial_ok m
                 when m.m_objective < min_gain *. !best_m.m_objective ->
@@ -288,7 +242,7 @@ let descend ~score ~knobs ~phase start start_m =
                   best_m := m;
                   improved := true
               | _ -> ())
-          k.k_values)
+          values)
       knobs
   done;
   (!best, !best_m)
@@ -299,9 +253,9 @@ let lcg s = ((s * 25214903917) + 11) land 0xffff_ffff_ffff
 
 let random_bundle ~knobs st base =
   List.fold_left
-    (fun b k ->
+    (fun b (name, values) ->
       st := lcg !st;
-      k.k_set b (List.nth k.k_values (!st mod List.length k.k_values)))
+      knob_set b name (List.nth values (!st mod List.length values)))
     base knobs
 
 (* ------------------------------------------------------------------ *)
@@ -493,28 +447,20 @@ let run ~quick ~out_path ~bundle_out () =
         pr "  %3d %-18s %-26s %s\n%!" !next_id phase desc (outcome_str o);
         o
   in
-  let default_bundle =
-    {
-      Rio.Bundle.b_opts = Rio.Options.default;
-      b_pool = Rio.Options.default_pool;
-      b_overrides = [];
-      b_provenance = Rio.Bundle.default_provenance;
-    }
-  in
   let default_m =
-    match score ~phase:"baseline" ~desc:"defaults" default_bundle with
+    match score ~phase:"baseline" ~desc:"defaults" Rio.Bundle.default with
     | Trial_ok m -> m
     | o ->
         pr "!! the default bundle failed to measure: %s\n%!" (outcome_str o);
         exit 2
   in
   (* --- coordinate descent with a seeded random-restart ladder --- *)
-  let global_best = ref default_bundle and global_best_m = ref default_m in
+  let global_best = ref Rio.Bundle.default and global_best_m = ref default_m in
   let seed = ref 0x5eed in
   for r = 0 to restarts - 1 do
     let start, label =
-      if r = 0 then (default_bundle, "from-defaults")
-      else (random_bundle ~knobs seed default_bundle, "from-random")
+      if r = 0 then (Rio.Bundle.default, "from-defaults")
+      else (random_bundle ~knobs seed Rio.Bundle.default, "from-random")
     in
     let phase = Printf.sprintf "restart%d" r in
     pr "-- %s (%s)\n%!" phase label;
@@ -587,10 +533,10 @@ let run ~quick ~out_path ~bundle_out () =
         (Rio.Bundle.error_to_string e);
       exit 2);
   (* --- JSON datapoint --- *)
-  let open Sweep in
+  let open Rio.Json in
   let knob_obj b =
     Obj
-      (List.map (fun k -> (k.k_name, Str (k.k_get b))) knobs
+      (List.map (fun (name, _) -> (name, Str (knob_get b name))) knobs
       @ [
           ( "overrides",
             Obj
@@ -599,7 +545,7 @@ let run ~quick ~out_path ~bundle_out () =
                  b.Rio.Bundle.b_overrides) );
         ])
   in
-  write_json ~path:out_path
+  Sweep.write_json ~path:out_path
     (Obj
        [
          ("schema", Str "rio-autotune-v1");

@@ -43,11 +43,9 @@ let parse_addr s =
       Printf.eprintf "rio_serve: %s\n" msg;
       exit 2
 
-let run nd nreq workload_names client_name seed0 affinity max_inflight faults
-    chaos retries quarantine deadline_cycles deadline_secs opt_level
-    spec_threshold spec_max_violations bundle_path cache_dir load_cache
-    save_cache listen_addr connect_addr prewarm accept_queue batch_window
-    min_domains send_quit show_stats quiet =
+let run nreq workload_names client_name seed0 engine pool faults chaos
+    bundle_path cache_dir load_cache save_cache listen_addr connect_addr
+    send_quit show_stats quiet =
   if listen_addr <> None && connect_addr <> None then begin
     Printf.eprintf "rio_serve: --listen and --connect are exclusive\n";
     exit 2
@@ -57,47 +55,33 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
     exit 2
   end;
   (* --bundle: a tuned configuration artifact (bench/main.exe autotune)
-     supersedes the per-knob engine flags (-O, --spec-threshold,
-     --spec-max-violations) and supplies the pool-opts base; explicit
-     pool/supervision flags and the fault/chaos overlays still apply. *)
-  let bundle =
+     replaces the defaults as the base configuration.  Every knob flag
+     given on the command line overrides the base; absent flags leave
+     it alone. *)
+  let base =
     match bundle_path with
-    | None -> None
+    | None ->
+        {
+          Rio.Bundle.default with
+          b_opts = { Rio.Options.default with max_cycles = max_int / 2 };
+        }
     | Some path -> (
         match Rio.Bundle.load path with
-        | Ok b -> Some b
+        | Ok b -> b
         | Error e ->
             Printf.eprintf "rio_serve: --bundle %s: %s\n" path
               (Rio.Bundle.error_to_string e);
             exit 2)
   in
-  let pool_base =
-    match bundle with
-    | Some b -> b.Rio.Bundle.b_pool
-    | None -> Rio.Options.default_pool
-  in
-  let cfg =
+  let tuned =
     {
-      pool_base with
-      Rio.Options.domains = nd;
-      max_inflight;
-      affinity;
-      retries;
-      quarantine_threshold = quarantine;
-      deadline_cycles;
-      deadline_secs;
-      (* serving knobs: explicit flags override the bundle's values *)
-      prewarm = (prewarm || pool_base.Rio.Options.prewarm);
-      accept_queue =
-        Option.value ~default:pool_base.Rio.Options.accept_queue accept_queue;
-      batch_window =
-        Option.value ~default:pool_base.Rio.Options.batch_window batch_window;
-      min_domains =
-        (match min_domains with
-        | Some _ -> min_domains
-        | None -> pool_base.Rio.Options.min_domains);
+      base with
+      Rio.Bundle.b_opts = engine base.Rio.Bundle.b_opts;
+      b_pool = pool base.Rio.Bundle.b_pool;
     }
   in
+  let cfg = tuned.Rio.Bundle.b_pool in
+  let nd = cfg.Rio.Options.domains in
   (match Rio.Options.validate_pool cfg with
    | Ok () -> ()
    | Error msg ->
@@ -134,26 +118,10 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
       audit_period = (match faults with Some _ -> 1 | None -> 0);
     }
   in
-  let opts =
-    match bundle with
-    | Some b -> overlay b.Rio.Bundle.b_opts
-    | None ->
-        overlay
-          {
-            Rio.Options.default with
-            max_cycles = max_int / 2;
-            opt_level;
-            spec_threshold;
-            spec_max_violations;
-          }
-  in
-  (* per-workload engine options: the bundle's overrides reach each
-     booted instance here *)
-  let opts_for name =
-    match bundle with
-    | Some b -> overlay (Rio.Bundle.opts_for b name)
-    | None -> opts
-  in
+  let opts = overlay tuned.Rio.Bundle.b_opts in
+  (* per-workload engine options: the bundle's overrides apply on top
+     of the flags *)
+  let opts_for name = overlay (Rio.Bundle.opts_for tuned name) in
   (match Rio.Options.validate opts with
    | Ok () -> ()
    | Error msg ->
@@ -381,19 +349,18 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
       nd
       (if nd = 1 then "" else "s")
       wall;
-    (match bundle with
-     | Some b ->
-         Printf.printf "  bundle %08x (created by %s): %s\n"
-           (Rio.Bundle.digest b) b.Rio.Bundle.b_provenance.Rio.Bundle.pv_created_by
-           b.Rio.Bundle.b_provenance.Rio.Bundle.pv_note
-     | None -> ());
+    if bundle_path <> None then
+      Printf.printf "  bundle %08x (created by %s): %s\n"
+        (Rio.Bundle.digest base)
+        base.Rio.Bundle.b_provenance.Rio.Bundle.pv_created_by
+        base.Rio.Bundle.b_provenance.Rio.Bundle.pv_note;
     Printf.printf
       "  %.1f MIPS aggregate (%d simulated insns, %d simulated cycles)\n"
       (float_of_int insns /. wall /. 1e6)
       insns cycles;
     (* the autotuner's objective, for apples-to-apples comparison with
        BENCH_autotune.json (noise-free only with -d 1) *)
-    (match bundle with
+    (match bundle_path with
      | Some _ ->
          let by_wl = Hashtbl.create 16 in
          List.iter
@@ -440,7 +407,9 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
          (Array.to_list
             (Array.map string_of_int snap.Rio.Pool.snap_busy_cycles)));
     if
-      chaos <> None || deadline_cycles <> None || deadline_secs <> None
+      chaos <> None
+      || cfg.Rio.Options.deadline_cycles <> None
+      || cfg.Rio.Options.deadline_secs <> None
       || snap.Rio.Pool.snap_crashes > 0
       || snap.Rio.Pool.snap_retries > 0
     then begin
@@ -478,10 +447,6 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
   if bad = [] && lost = 0 then 0 else 1
 
 let cmd =
-  let nd =
-    Arg.(value & opt int 2 & info [ "d"; "domains" ] ~docv:"N"
-           ~doc:"Worker domains in the pool.")
-  in
   let nreq =
     Arg.(value & opt int 16 & info [ "n"; "requests" ] ~docv:"N"
            ~doc:"Requests to serve.")
@@ -500,13 +465,15 @@ let cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S"
            ~doc:"Base request seed; request i uses seed S+i.")
   in
-  let affinity =
-    Arg.(value & flag & info [ "affinity" ]
-           ~doc:"Shard by workload-key hash instead of round-robin.")
+  let engine =
+    Knob_flags.term Rio.Options.engine_knobs
+      [ "opt_level"; "spec_threshold"; "spec_max_violations" ]
   in
-  let max_inflight =
-    Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N"
-           ~doc:"Bound on submitted-but-incomplete requests (backpressure).")
+  let pool =
+    Knob_flags.term Rio.Options.pool_knobs
+      [ "domains"; "max_inflight"; "affinity"; "retries";
+        "quarantine_threshold"; "deadline_cycles"; "deadline_secs";
+        "prewarm"; "accept_queue"; "batch_window"; "min_domains" ]
   in
   let faults =
     Arg.(value & opt (some int) None & info [ "faults" ] ~docv:"SEED"
@@ -518,51 +485,13 @@ let cmd =
                  poisoned warm instances, hook storms) with this seed; the \
                  supervisor, retry ladder, and quarantine must absorb it.")
   in
-  let retries =
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N"
-           ~doc:"Retry-ladder depth per request: warm retry, cold retry, \
-                 cold retry on another domain.")
-  in
-  let quarantine =
-    Arg.(value & opt int 3 & info [ "quarantine" ] ~docv:"K"
-           ~doc:"Quarantine a workload key after K consecutive final \
-                 failures; a single probe request may then reopen it.")
-  in
-  let deadline_cycles =
-    Arg.(value & opt (some int) None & info [ "deadline-cycles" ] ~docv:"N"
-           ~doc:"Per-request simulated-cycle budget; the watchdog preempts \
-                 at the next fragment boundary.")
-  in
-  let deadline_secs =
-    Arg.(value & opt (some float) None & info [ "deadline-secs" ] ~docv:"S"
-           ~doc:"Per-request host wall-clock bound (catches stalled \
-                 workers).")
-  in
-  let opt_level =
-    Arg.(value & opt int 0 & info [ "O"; "opt" ] ~docv:"N"
-           ~doc:"Trace optimization level for every instance (0-3; 3 \
-                 adds profile-guided speculation with mid-trace \
-                 deoptimization).")
-  in
-  let spec_threshold =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.spec_threshold
-         & info [ "spec-threshold" ] ~docv:"N"
-             ~doc:"Successor-profile samples required at an exit site \
-                   before -O3 speculates on it.")
-  in
-  let spec_max_violations =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.spec_max_violations
-         & info [ "spec-max-violations" ] ~docv:"K"
-             ~doc:"Guard violations tolerated before a trace is \
-                   re-optimized without that assumption.")
-  in
   let bundle =
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"FILE"
            ~doc:"Boot from a tuned configuration bundle (bench/main.exe \
-                 autotune emits one): its engine options and per-workload \
-                 opt-level overrides supersede -O, --spec-threshold and \
-                 --spec-max-violations, and its pool options are the base \
-                 for the pool flags.  --faults/--chaos still overlay.")
+                 autotune emits one) instead of the defaults.  Engine and \
+                 pool flags that are given override its values; its \
+                 per-workload opt-level overrides apply on top.  \
+                 --faults/--chaos still overlay.")
   in
   let cache_dir =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
@@ -592,28 +521,6 @@ let cmd =
                  at ADDR and check its responses against local native \
                  references.")
   in
-  let prewarm =
-    Arg.(value & flag & info [ "prewarm" ]
-           ~doc:"Build every (domain, workload) instance at pool boot, \
-                 before accepting traffic, so no request ever cold-boots.")
-  in
-  let accept_queue =
-    Arg.(value & opt (some int) None & info [ "accept-queue" ] ~docv:"N"
-           ~doc:"Admission bound for the server: once N requests are \
-                 admitted but unfinished, further requests are shed with \
-                 a typed reject instead of queueing without bound.")
-  in
-  let batch_window =
-    Arg.(value & opt (some int) None & info [ "batch-window" ] ~docv:"N"
-           ~doc:"Dequeue-time batching window: a worker looks this deep \
-                 into its queue for a request matching the key it just \
-                 served (0 disables).")
-  in
-  let min_domains =
-    Arg.(value & opt (some int) None & info [ "min-domains" ] ~docv:"N"
-           ~doc:"Enable the queue-depth autoscaler: park idle worker \
-                 domains down to N and wake them as queue depth grows.")
-  in
   let quit =
     Arg.(value & flag & info [ "quit" ]
            ~doc:"Client mode: send the quit op after the last response, \
@@ -627,12 +534,9 @@ let cmd =
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Only report divergences.") in
   let term =
     Term.(
-      const run $ nd $ nreq $ workloads $ client $ seed0 $ affinity
-      $ max_inflight $ faults $ chaos $ retries $ quarantine
-      $ deadline_cycles $ deadline_secs $ opt_level $ spec_threshold
-      $ spec_max_violations $ bundle $ cache_dir $ load_cache $ save_cache
-      $ listen $ connect $ prewarm $ accept_queue $ batch_window
-      $ min_domains $ quit $ stats $ quiet)
+      const run $ nreq $ workloads $ client $ seed0 $ engine $ pool $ faults
+      $ chaos $ bundle $ cache_dir $ load_cache $ save_cache $ listen
+      $ connect $ quit $ stats $ quiet)
   in
   Cmd.v
     (Cmd.info "rio_serve"

@@ -34,11 +34,8 @@ let label t name =
     bytes they were built from, so loading them against other text
     would execute stale translations. *)
 let digest (t : t) : int =
-  let h = ref 0x811c9dc5 in
-  let mix_byte b =
-    h := !h lxor b;
-    h := !h * 0x01000193 land 0xffff_ffff
-  in
+  let h = ref Isa.Fnv.offset_basis in
+  let mix_byte b = h := Isa.Fnv.step ~mask:Isa.Fnv.mask32 !h b in
   let mix_int v =
     mix_byte (v land 0xff);
     mix_byte ((v lsr 8) land 0xff);

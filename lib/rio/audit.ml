@@ -16,15 +16,13 @@
 open Isa
 open Types
 
-let fnv_offset = 0x811c9dc5
-let fnv_prime = 0x01000193
 let state_mask = (1 lsl 62) - 1
 
 let fragment_checksum (rt : runtime) (f : fragment) : int =
   let mem = Vm.Machine.mem rt.machine in
-  let h = ref fnv_offset in
+  let h = ref Fnv.offset_basis in
   for a = f.entry to f.total_end - 1 do
-    h := (!h lxor Vm.Memory.read_u8 mem a) * fnv_prime land state_mask
+    h := Fnv.step ~mask:state_mask !h (Vm.Memory.read_u8 mem a)
   done;
   !h
 

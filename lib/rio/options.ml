@@ -296,23 +296,370 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Knob registry (DESIGN.md §6.9)                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** Single-field range of a numeric knob (for an option, of its
+    payload).  Cross-field rules stay in {!validate} and
+    {!validate_pool}. *)
+type range = At_least of int | Between of int * int | Positive
+
+(** A knob's command-line flag: [flags] are the names without dashes
+    (one letter = short flag), [negate] makes a boolean flag set the
+    knob to [false] ([--no-traces]). *)
+type cli = { flags : string list; docv : string; doc : string; negate : bool }
+
+(** The value type of a knob, which fixes its JSON form and its flag. *)
+type _ kind =
+  | K_bool : bool kind
+  | K_int : int kind
+  | K_int_opt : int option kind  (** JSON [null] = [None] *)
+  | K_float_opt : float option kind
+  | K_policy : flush_policy kind
+  | K_passes : opt_pass list kind
+  | K_record : 'a knob list -> 'a kind  (** nested object *)
+  | K_record_opt : 'a knob list * 'a -> 'a option kind
+      (** nested object or [null]; absent fields take the given default *)
+
+(** One settable field: JSON name, typed accessors, range, flag. *)
+and 'r knob =
+  | Knob : {
+      name : string;
+      kind : 'a kind;
+      get : 'r -> 'a;
+      set : 'r -> 'a -> 'r;
+      range : range option;
+      cli : cli option;
+    }
+      -> 'r knob
+
+let knob ?range ?cli name kind get set = Knob { name; kind; get; set; range; cli }
+let flag ?(negate = false) ?(docv = "") flags doc = { flags; docv; doc; negate }
+
+(* Registry order is the printed field order of bundles and digests. *)
+
+let cost_knobs : costs knob list =
+  let c name get set = knob name K_int get set in
+  [
+    c "context_switch" (fun c -> c.context_switch) (fun c v -> { c with context_switch = v });
+    c "ibl_lookup" (fun c -> c.ibl_lookup) (fun c v -> { c with ibl_lookup = v });
+    c "stub_exec" (fun c -> c.stub_exec) (fun c v -> { c with stub_exec = v });
+    c "bb_build_base" (fun c -> c.bb_build_base) (fun c v -> { c with bb_build_base = v });
+    c "bb_build_per_insn" (fun c -> c.bb_build_per_insn)
+      (fun c v -> { c with bb_build_per_insn = v });
+    c "trace_build_per_insn" (fun c -> c.trace_build_per_insn)
+      (fun c v -> { c with trace_build_per_insn = v });
+    c "clean_call" (fun c -> c.clean_call) (fun c v -> { c with clean_call = v });
+    c "replace_fragment" (fun c -> c.replace_fragment)
+      (fun c v -> { c with replace_fragment = v });
+    c "audit_per_fragment" (fun c -> c.audit_per_fragment)
+      (fun c v -> { c with audit_per_fragment = v });
+    c "evict_fragment" (fun c -> c.evict_fragment) (fun c v -> { c with evict_fragment = v });
+    c "opt_per_insn_pass" (fun c -> c.opt_per_insn_pass)
+      (fun c v -> { c with opt_per_insn_pass = v });
+  ]
+
+let fault_knobs : fault_opts knob list =
+  [
+    knob "seed" K_int (fun f -> f.fi_seed) (fun f v -> { f with fi_seed = v });
+    knob "period" K_int ~range:(At_least 1) (fun f -> f.fi_period)
+      (fun f v -> { f with fi_period = v });
+    knob "corrupt" K_bool (fun f -> f.fi_corrupt) (fun f v -> { f with fi_corrupt = v });
+    knob "links" K_bool (fun f -> f.fi_links) (fun f v -> { f with fi_links = v });
+    knob "hooks" K_bool (fun f -> f.fi_hooks) (fun f v -> { f with fi_hooks = v });
+    knob "signals" K_bool (fun f -> f.fi_signals) (fun f v -> { f with fi_signals = v });
+  ]
+
+let engine_knobs : t knob list =
+  [
+    knob "emulate" K_bool (fun o -> o.emulate) (fun o v -> { o with emulate = v });
+    knob "link_direct" K_bool
+      ~cli:(flag ~negate:true [ "no-link-direct" ] "Disable direct linking.")
+      (fun o -> o.link_direct) (fun o v -> { o with link_direct = v });
+    knob "link_indirect" K_bool
+      ~cli:(flag ~negate:true [ "no-link-indirect" ]
+              "Disable the in-cache indirect lookup.")
+      (fun o -> o.link_indirect) (fun o v -> { o with link_indirect = v });
+    knob "enable_traces" K_bool
+      ~cli:(flag ~negate:true [ "no-traces" ] "Disable trace creation.")
+      (fun o -> o.enable_traces) (fun o v -> { o with enable_traces = v });
+    knob "trace_threshold" K_int ~range:(At_least 1)
+      ~cli:(flag [ "trace-threshold" ] ~docv:"N" "Trace-head hotness threshold.")
+      (fun o -> o.trace_threshold) (fun o v -> { o with trace_threshold = v });
+    knob "max_trace_blocks" K_int ~range:(At_least 1)
+      (fun o -> o.max_trace_blocks) (fun o v -> { o with max_trace_blocks = v });
+    knob "max_bb_insns" K_int ~range:(At_least 1)
+      (fun o -> o.max_bb_insns) (fun o v -> { o with max_bb_insns = v });
+    knob "cache_capacity" K_int_opt ~range:Positive
+      ~cli:(flag [ "cache-capacity" ] ~docv:"BYTES"
+              "Bound the code cache; see --flush-policy for what happens on \
+               overflow.")
+      (fun o -> o.cache_capacity) (fun o v -> { o with cache_capacity = v });
+    knob "flush_policy" K_policy
+      ~cli:(flag [ "flush-policy" ] ~docv:"POLICY"
+              "Capacity policy for a bounded cache: $(b,fifo) evicts the \
+               oldest fragments incrementally; $(b,full) flushes the whole \
+               cache on overflow.")
+      (fun o -> o.flush_policy) (fun o v -> { o with flush_policy = v });
+    knob "cache_compaction" K_bool
+      (fun o -> o.cache_compaction) (fun o v -> { o with cache_compaction = v });
+    knob "quantum" K_int ~range:(At_least 1)
+      (fun o -> o.quantum) (fun o v -> { o with quantum = v });
+    knob "always_save_flags" K_bool
+      (fun o -> o.always_save_flags) (fun o v -> { o with always_save_flags = v });
+    knob "sideline" K_bool
+      ~cli:(flag [ "sideline" ]
+              "Run trace optimization on a simulated spare processor.")
+      (fun o -> o.sideline) (fun o v -> { o with sideline = v });
+    knob "opt_level" K_int ~range:(Between (0, 3))
+      ~cli:(flag [ "O"; "opt" ] ~docv:"N"
+              "Trace optimization level: 0 (off), 1 (copy/constant \
+               propagation, strength reduction, flag-save elision), 2 (adds \
+               redundant-load removal, dead-store elimination and exit-check \
+               peepholes) or 3 (adds profile-guided speculation: guarded \
+               dominant-target inlining, constant-load folding and \
+               exit-layout biasing, with mid-trace deoptimization).")
+      (fun o -> o.opt_level) (fun o v -> { o with opt_level = v });
+    knob "opt_enable" K_passes
+      ~cli:(flag [ "opt-enable" ] ~docv:"PASS"
+              "Enable a single optimizer pass on top of the -O level; \
+               repeatable.  Passes: copyprop, strength, loadrem, deadstore, \
+               peephole, flagelide.")
+      (fun o -> o.opt_enable) (fun o v -> { o with opt_enable = v });
+    knob "opt_disable" K_passes
+      ~cli:(flag [ "opt-disable" ] ~docv:"PASS"
+              "Disable a single optimizer pass from the -O level; repeatable.")
+      (fun o -> o.opt_disable) (fun o v -> { o with opt_disable = v });
+    knob "reopt_threshold" K_int_opt ~range:Positive
+      ~cli:(flag [ "reopt" ] ~docv:"N"
+              "Re-optimize a hot trace in place (decode + replace) after N \
+               dispatcher entries (overrides the built-in deferral \
+               threshold).")
+      (fun o -> o.reopt_threshold) (fun o v -> { o with reopt_threshold = v });
+    knob "spec_threshold" K_int ~range:(At_least 1)
+      ~cli:(flag [ "spec-threshold" ] ~docv:"N"
+              "Successor-profile samples required at an exit site before -O3 \
+               speculates on it.")
+      (fun o -> o.spec_threshold) (fun o v -> { o with spec_threshold = v });
+    knob "spec_max_violations" K_int ~range:(At_least 1)
+      ~cli:(flag [ "spec-max-violations" ] ~docv:"K"
+              "Guard violations tolerated before the trace is re-optimized \
+               without that assumption.")
+      (fun o -> o.spec_max_violations) (fun o v -> { o with spec_max_violations = v });
+    knob "max_cycles" K_int ~range:(At_least 1)
+      (fun o -> o.max_cycles) (fun o v -> { o with max_cycles = v });
+    knob "faults" (K_record_opt (fault_knobs, default_faults))
+      (fun o -> o.faults) (fun o v -> { o with faults = v });
+    knob "audit_period" K_int ~range:(At_least 0)
+      (fun o -> o.audit_period) (fun o v -> { o with audit_period = v });
+    knob "client_fail_limit" K_int
+      (fun o -> o.client_fail_limit) (fun o v -> { o with client_fail_limit = v });
+    knob "costs" (K_record cost_knobs) (fun o -> o.costs) (fun o v -> { o with costs = v });
+  ]
+
+let pool_knobs : pool_opts knob list =
+  [
+    knob "domains" K_int ~range:(At_least 1)
+      ~cli:(flag [ "d"; "domains" ] ~docv:"N" "Worker domains in the pool.")
+      (fun p -> p.domains) (fun p v -> { p with domains = v });
+    knob "max_inflight" K_int ~range:(At_least 1)
+      ~cli:(flag [ "max-inflight" ] ~docv:"N"
+              "Bound on submitted-but-incomplete requests (backpressure).")
+      (fun p -> p.max_inflight) (fun p v -> { p with max_inflight = v });
+    knob "queue_capacity" K_int ~range:(At_least 1)
+      (fun p -> p.queue_capacity) (fun p v -> { p with queue_capacity = v });
+    knob "affinity" K_bool
+      ~cli:(flag [ "affinity" ]
+              "Shard by workload-key hash instead of round-robin.")
+      (fun p -> p.affinity) (fun p v -> { p with affinity = v });
+    knob "retries" K_int ~range:(At_least 0)
+      ~cli:(flag [ "retries" ] ~docv:"N"
+              "Retry-ladder depth per request: warm retry, cold retry, cold \
+               retry on another domain.")
+      (fun p -> p.retries) (fun p v -> { p with retries = v });
+    knob "quarantine_threshold" K_int ~range:(At_least 1)
+      ~cli:(flag [ "quarantine" ] ~docv:"K"
+              "Quarantine a workload key after K consecutive final failures; \
+               a single probe request may then reopen it.")
+      (fun p -> p.quarantine_threshold) (fun p v -> { p with quarantine_threshold = v });
+    knob "deadline_cycles" K_int_opt ~range:Positive
+      ~cli:(flag [ "deadline-cycles" ] ~docv:"N"
+              "Per-request simulated-cycle budget; the watchdog preempts at \
+               the next fragment boundary.")
+      (fun p -> p.deadline_cycles) (fun p v -> { p with deadline_cycles = v });
+    knob "deadline_secs" K_float_opt ~range:Positive
+      ~cli:(flag [ "deadline-secs" ] ~docv:"S"
+              "Per-request host wall-clock bound (catches stalled workers).")
+      (fun p -> p.deadline_secs) (fun p v -> { p with deadline_secs = v });
+    knob "accept_queue" K_int ~range:(At_least 1)
+      ~cli:(flag [ "accept-queue" ] ~docv:"N"
+              "Admission bound for the server: once N requests are admitted \
+               but unfinished, further requests are shed with a typed reject \
+               instead of queueing without bound.")
+      (fun p -> p.accept_queue) (fun p v -> { p with accept_queue = v });
+    knob "batch_window" K_int ~range:(At_least 0)
+      ~cli:(flag [ "batch-window" ] ~docv:"N"
+              "Dequeue-time batching window: a worker looks this deep into \
+               its queue for a request matching the key it just served (0 \
+               disables).")
+      (fun p -> p.batch_window) (fun p v -> { p with batch_window = v });
+    knob "prewarm" K_bool
+      ~cli:(flag [ "prewarm" ]
+              "Build every (domain, workload) instance at pool boot, before \
+               accepting traffic, so no request ever cold-boots.")
+      (fun p -> p.prewarm) (fun p v -> { p with prewarm = v });
+    knob "min_domains" K_int_opt ~range:(At_least 1)
+      ~cli:(flag [ "min-domains" ] ~docv:"N"
+              "Enable the queue-depth autoscaler: park idle worker domains \
+               down to N and wake them as queue depth grows.")
+      (fun p -> p.min_domains) (fun p v -> { p with min_domains = v });
+    knob "scale_up_depth" K_int
+      (fun p -> p.scale_up_depth) (fun p v -> { p with scale_up_depth = v });
+    knob "scale_down_depth" K_int ~range:(At_least 0)
+      (fun p -> p.scale_down_depth) (fun p v -> { p with scale_down_depth = v });
+    knob "scale_hysteresis" K_int ~range:(At_least 1)
+      (fun p -> p.scale_hysteresis) (fun p v -> { p with scale_hysteresis = v });
+  ]
+
+let find_knob (knobs : 'r knob list) (name : string) : 'r knob =
+  List.find (fun (Knob k) -> k.name = name) knobs
+
+(* ------------------------------------------------------------------ *)
+(* Codec and range checks, derived from the registry                  *)
+(* ------------------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+
+(** A record as a JSON object, fields in registry order. *)
+let rec to_json : type r. r knob list -> r -> Json.t =
+ fun knobs r ->
+  Json.Obj (List.map (fun (Knob k) -> (k.name, value_to_json k.kind (k.get r))) knobs)
+
+and value_to_json : type a. a kind -> a -> Json.t =
+ fun kind v ->
+  match kind with
+  | K_bool -> Json.Bool v
+  | K_int -> Json.Int v
+  | K_int_opt -> Option.fold ~none:Json.Null ~some:(fun n -> Json.Int n) v
+  | K_float_opt -> Option.fold ~none:Json.Null ~some:(fun f -> Json.Float f) v
+  | K_policy -> Json.Str (flush_policy_name v)
+  | K_passes -> Json.Arr (List.map (fun p -> Json.Str (pass_name p)) v)
+  | K_record ks -> to_json ks v
+  | K_record_opt (ks, _) -> Option.fold ~none:Json.Null ~some:(to_json ks) v
+
+(** Decoding failures; paths are dotted and relative to the object. *)
+type decode_error = Unknown_field of string | Bad_field of string * string
+
+(** Fold a JSON object's fields onto [base]: absent fields keep their
+    base value, unknown ones are refused.  Ranges are not checked
+    here (see {!check_ranges}). *)
+let rec of_json : type r. r knob list -> r -> (string * Json.t) list -> (r, decode_error) result =
+ fun knobs base kvs ->
+  List.fold_left
+    (fun acc (key, j) ->
+      let* r = acc in
+      match List.find_opt (fun (Knob k) -> k.name = key) knobs with
+      | None -> Error (Unknown_field key)
+      | Some (Knob k) ->
+          let* v = value_of_json key k.kind (k.get r) j in
+          Ok (k.set r v))
+    (Ok base) kvs
+
+and value_of_json : type a. string -> a kind -> a -> Json.t -> (a, decode_error) result =
+ fun key kind cur j ->
+  let bad m = Error (Bad_field (key, m)) in
+  let nested ks base kvs =
+    match of_json ks base kvs with
+    | Error (Unknown_field p) -> Error (Unknown_field (key ^ "." ^ p))
+    | Error (Bad_field (p, m)) -> Error (Bad_field (key ^ "." ^ p, m))
+    | Ok _ as ok -> ok
+  in
+  match (kind, j) with
+  | K_bool, Json.Bool b -> Ok b
+  | K_bool, _ -> bad "expected a boolean"
+  | K_int, Json.Int i -> Ok i
+  | K_int, _ -> bad "expected an integer"
+  | K_int_opt, Json.Null -> Ok None
+  | K_int_opt, Json.Int i -> Ok (Some i)
+  | K_int_opt, _ -> bad "expected an integer or null"
+  | K_float_opt, Json.Null -> Ok None
+  | K_float_opt, Json.Float f -> Ok (Some f)
+  | K_float_opt, Json.Int i -> Ok (Some (float_of_int i))
+  | K_float_opt, _ -> bad "expected a number or null"
+  | K_policy, Json.Str s -> (
+      match flush_policy_of_name s with
+      | Some p -> Ok p
+      | None -> bad (Printf.sprintf "unknown policy %S (expected \"fifo\" or \"full\")" s))
+  | K_policy, _ -> bad "expected a string"
+  | K_passes, Json.Arr xs ->
+      let* ps =
+        List.fold_left
+          (fun acc x ->
+            let* ps = acc in
+            match x with
+            | Json.Str s -> (
+                match pass_of_name s with
+                | Some p -> Ok (p :: ps)
+                | None -> bad (Printf.sprintf "unknown optimizer pass %S" s))
+            | _ -> bad "expected an array of pass names")
+          (Ok []) xs
+      in
+      Ok (List.rev ps)
+  | K_passes, _ -> bad "expected an array of pass names"
+  | K_record _, Json.Null -> Ok cur
+  | K_record ks, Json.Obj kvs -> nested ks cur kvs
+  | K_record_opt _, Json.Null -> Ok None
+  | K_record_opt (ks, d), Json.Obj kvs ->
+      let* v = nested ks d kvs in
+      Ok (Some v)
+  | (K_record _ | K_record_opt _), _ -> bad "expected an object or null"
+
+let range_holds r x =
+  match r with
+  | At_least n -> x >= float_of_int n
+  | Between (lo, hi) -> x >= float_of_int lo && x <= float_of_int hi
+  | Positive -> x > 0.0
+
+let range_to_string = function
+  | At_least n -> Printf.sprintf "must be >= %d" n
+  | Between (lo, hi) -> Printf.sprintf "must be between %d and %d" lo hi
+  | Positive -> "must be positive"
+
+(** The first knob, nested ones included, whose value is outside its
+    range: its dotted path and what is wrong. *)
+let rec check_ranges : type r. r knob list -> r -> (string * string) option =
+ fun knobs r ->
+  List.find_map (fun (Knob k) -> check_value k.name k.kind k.range (k.get r)) knobs
+
+and check_value : type a. string -> a kind -> range option -> a -> (string * string) option =
+ fun name kind range v ->
+  let test x shown =
+    match range with
+    | Some rg when not (range_holds rg x) ->
+        Some (name, Printf.sprintf "%s (got %s)" (range_to_string rg) shown)
+    | _ -> None
+  in
+  let nested ks x =
+    Option.map (fun (p, m) -> (name ^ "." ^ p, m)) (check_ranges ks x)
+  in
+  match (kind, v) with
+  | K_int, n -> test (float_of_int n) (string_of_int n)
+  | K_int_opt, Some n -> test (float_of_int n) (string_of_int n)
+  | K_float_opt, Some f -> test f (Printf.sprintf "%g" f)
+  | K_record ks, x -> nested ks x
+  | K_record_opt (ks, _), Some x -> nested ks x
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* Digest (persistent-cache compatibility key)                        *)
 (* ------------------------------------------------------------------ *)
 
-(** FNV-1a over the marshalled options bundle.  Any field that changes
-    code generation changes the digest, so a persisted cache image
-    built under different options is refused at load rather than
-    producing subtly wrong code.  [t] is plain data (no closures), so
-    marshalling is deterministic within one program version. *)
-let digest (t : t) : int =
-  let s = Marshal.to_string t [] in
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0xffff_ffff)
-    s;
-  !h
+(** FNV-1a over the canonical JSON of every engine knob, the printer
+    {!Bundle.digest} uses.  Any field that changes code generation
+    changes the digest, so a persisted cache image built under
+    different options is refused at load rather than producing subtly
+    wrong code; equal options always digest equally. *)
+let digest (t : t) : int = Isa.Fnv.string (Json.to_string (to_json engine_knobs t))
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                         *)
@@ -321,6 +668,11 @@ let digest (t : t) : int =
 exception Invalid_options of string
 (** Raised by {!validate_exn} (and thus {!Rio.create}) on option
     combinations that could only fail later, mid-emission. *)
+
+let ranges_ok knobs r =
+  match check_ranges knobs r with
+  | Some (path, msg) -> Error (path ^ " " ^ msg)
+  | None -> Ok ()
 
 (* No SynISA encoding exceeds 12 bytes (opcode byte + modrm + two
    4-byte immediates/displacements; see lib/isa/encode.ml). *)
@@ -350,96 +702,41 @@ let effective_passes (t : t) : opt_pass list =
       && not (List.mem p t.opt_disable))
     all_passes
 
-let validate_opt (t : t) : (unit, string) result =
-  if t.opt_level < 0 || t.opt_level > 3 then
-    Error
-      (Printf.sprintf "optimization level must be between 0 and 3 (got %d)"
-         t.opt_level)
-  else if t.spec_threshold < 1 then
-    Error
-      (Printf.sprintf "speculation threshold must be >= 1 (got %d)"
-         t.spec_threshold)
-  else if t.spec_max_violations < 1 then
-    Error
-      (Printf.sprintf "speculation max-violations must be >= 1 (got %d)"
-         t.spec_max_violations)
-  else if t.opt_level = 0 && t.opt_enable <> [] then
-    Error
-      (Printf.sprintf
-         "pass %s is enabled but the optimizer is off (-O0); raise the \
-          level to -O1 or higher or drop the per-pass enable"
-         (pass_name (List.hd t.opt_enable)))
-  else
-    match t.reopt_threshold with
-    | Some n when n <= 0 ->
+(** Every engine knob's range, then the cross-field rules: the FIFO
+    capacity floor and the optimizer-level gating. *)
+let validate (t : t) : (unit, string) result =
+  let* () = ranges_ok engine_knobs t in
+  match t.cache_capacity with
+  | Some cap when t.flush_policy = Flush_fifo && cap < min_cache_capacity t ->
+      Error
+        (Printf.sprintf
+           "cache capacity %d is below the FIFO floor of %d bytes (twice the \
+            worst-case basic-block fragment for max-bb-insns=%d); raise the \
+            capacity or use the full flush policy"
+           cap (min_cache_capacity t) t.max_bb_insns)
+  | _ ->
+      if t.opt_level = 0 && t.opt_enable <> [] then
         Error
           (Printf.sprintf
-             "re-optimization threshold must be positive (got %d)" n)
-    | Some _ when t.opt_level = 0 ->
+             "pass %s is enabled but the optimizer is off (-O0); raise the \
+              level to -O1 or higher or drop the per-pass enable"
+             (pass_name (List.hd t.opt_enable)))
+      else if t.opt_level = 0 && t.reopt_threshold <> None then
         Error
           "re-optimization is requested but the optimizer is off (-O0); \
            raise the level to -O1 or higher or drop the threshold"
-    | _ -> Ok ()
-
-let validate (t : t) : (unit, string) result =
-  let cache =
-    match t.cache_capacity with
-    | None -> Ok ()
-    | Some cap ->
-        if cap <= 0 then
-          Error (Printf.sprintf "cache capacity must be positive (got %d)" cap)
-        else if t.flush_policy = Flush_fifo && cap < min_cache_capacity t then
-          Error
-            (Printf.sprintf
-               "cache capacity %d is below the FIFO floor of %d bytes (twice \
-                the worst-case basic-block fragment for max-bb-insns=%d); \
-                raise the capacity or use the full flush policy"
-               cap (min_cache_capacity t) t.max_bb_insns)
-        else Ok ()
-  in
-  match cache with Error _ as e -> e | Ok () -> validate_opt t
+      else Ok ()
 
 let validate_exn (t : t) : unit =
   match validate t with Ok () -> () | Error msg -> raise (Invalid_options msg)
 
-(** Validate pool sizing and supervision parameters; {!Pool.create} and
+(** Validate pool sizing and supervision parameters: every pool knob's
+    range, then the autoscaler's cross-field rules.  {!Pool.create} and
     the [rio_serve] CLI both reject bad values through here so the
     message is identical at every entry point. *)
 let validate_pool (p : pool_opts) : (unit, string) result =
-  if p.domains < 1 then
-    Error (Printf.sprintf "pool domains must be >= 1 (got %d)" p.domains)
-  else if p.max_inflight < 1 then
-    Error
-      (Printf.sprintf "pool max-inflight must be >= 1 (got %d)" p.max_inflight)
-  else if p.queue_capacity < 1 then
-    Error
-      (Printf.sprintf
-         "pool queue capacity must be >= 1 (got %d): a zero-capacity deque \
-          can never hold a request"
-         p.queue_capacity)
-  else if p.retries < 0 then
-    Error (Printf.sprintf "pool retries must be >= 0 (got %d)" p.retries)
-  else if p.quarantine_threshold < 1 then
-    Error
-      (Printf.sprintf "quarantine threshold must be >= 1 (got %d)"
-         p.quarantine_threshold)
-  else if p.accept_queue < 1 then
-    Error
-      (Printf.sprintf
-         "pool accept-queue must be >= 1 (got %d): a zero admission bound \
-          sheds every request"
-         p.accept_queue)
-  else if p.batch_window < 0 then
-    Error (Printf.sprintf "pool batch-window must be >= 0 (got %d)" p.batch_window)
-  else if p.scale_hysteresis < 1 then
-    Error
-      (Printf.sprintf "pool scale-hysteresis must be >= 1 (got %d)"
-         p.scale_hysteresis)
-  else if p.scale_down_depth < 0 then
-    Error
-      (Printf.sprintf "pool scale-down-depth must be >= 0 (got %d)"
-         p.scale_down_depth)
-  else if p.scale_up_depth <= p.scale_down_depth then
+  let* () = ranges_ok pool_knobs p in
+  if p.scale_up_depth <= p.scale_down_depth then
     Error
       (Printf.sprintf
          "pool scale-up-depth (%d) must exceed scale-down-depth (%d): \
@@ -447,18 +744,12 @@ let validate_pool (p : pool_opts) : (unit, string) result =
          p.scale_up_depth p.scale_down_depth)
   else
     match p.min_domains with
-    | Some m when m < 1 || m > p.domains ->
+    | Some m when m > p.domains ->
         Error
           (Printf.sprintf
              "pool min-domains must be between 1 and domains=%d (got %d)"
              p.domains m)
-    | _ -> (
-        match (p.deadline_cycles, p.deadline_secs) with
-        | Some c, _ when c <= 0 ->
-            Error (Printf.sprintf "deadline-cycles must be positive (got %d)" c)
-        | _, Some s when s <= 0.0 ->
-            Error (Printf.sprintf "deadline-secs must be positive (got %g)" s)
-        | _ -> Ok ())
+    | _ -> Ok ()
 
 let validate_pool_exn (p : pool_opts) : unit =
   match validate_pool p with

@@ -85,14 +85,6 @@ exception Fail of error
 (* Primitive encoding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fnv32 (s : string) ~(pos : int) ~(len : int) : int =
-  let h = ref 0x811c9dc5 in
-  for i = pos to pos + len - 1 do
-    h := !h lxor Char.code s.[i];
-    h := !h * 0x01000193 land 0xffff_ffff
-  done;
-  !h
-
 let add_u32 buf v =
   Buffer.add_char buf (Char.chr (v land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
@@ -301,7 +293,7 @@ let save (rt : runtime) ~(image_digest : int) ~(path : string) : int =
       List.iter (fun f -> write_fragment buf mem f) traces;
       persisted := !persisted + List.length bbs + List.length traces)
     tss;
-  add_u32 buf (fnv32 (Buffer.contents buf) ~pos:0 ~len:(Buffer.length buf));
+  add_u32 buf (Isa.Fnv.string (Buffer.contents buf));
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Buffer.output_buffer oc buf;
@@ -680,7 +672,7 @@ let load (rt : runtime) ~(image_digest : int) ~(path : string) :
         let opts_digest = read_u32 r in
         let img_digest = read_u32 r in
         if version <> format_version then refused (Bad_version version)
-        else if fnv32 s ~pos:0 ~len:(String.length s - 4) <> stored_sum then
+        else if Isa.Fnv.sub s ~pos:0 ~len:(String.length s - 4) <> stored_sum then
           refused Checksum_mismatch
         else if opts_digest <> Options.digest rt.opts then
           refused Options_mismatch

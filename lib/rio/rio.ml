@@ -18,6 +18,7 @@ module Level = Level
 module Instr = Instr
 module Instrlist = Instrlist
 module Create = Create
+module Json = Json
 module Options = Options
 module Bundle = Bundle
 module Stats = Stats

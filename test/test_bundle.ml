@@ -219,7 +219,7 @@ let test_rejections () =
     {|{"bundle_version": 1, "engine": {"costs": {"telepathy": 1}}}|};
   check_reject "stale version" "stale:3" {|{"bundle_version": 3}|};
   check_reject "missing version" "bad:bundle_version" {|{"engine": {}}|};
-  check_reject "out-of-range opt level" "invalid"
+  check_reject "out-of-range opt level" "bad:engine.opt_level"
     {|{"bundle_version": 1, "engine": {"opt_level": 9}}|};
   check_reject "negative trace threshold" "bad:engine.trace_threshold"
     {|{"bundle_version": 1, "engine": {"trace_threshold": -5}}|};
@@ -235,9 +235,9 @@ let test_rejections () =
     {|{"bundle_version": 1, "engine": {"flush_policy": "lru"}}|};
   check_reject "unknown pool key" "unknown:pool.turbo"
     {|{"bundle_version": 1, "pool": {"turbo": true}}|};
-  check_reject "zero accept queue" "invalid"
+  check_reject "zero accept queue" "bad:pool.accept_queue"
     {|{"bundle_version": 1, "pool": {"accept_queue": 0}}|};
-  check_reject "negative batch window" "invalid"
+  check_reject "negative batch window" "bad:pool.batch_window"
     {|{"bundle_version": 1, "pool": {"batch_window": -1}}|};
   check_reject "non-bool prewarm" "bad:pool.prewarm"
     {|{"bundle_version": 1, "pool": {"prewarm": 3}}|};
@@ -245,7 +245,7 @@ let test_rejections () =
     {|{"bundle_version": 1, "pool": {"domains": 2, "min_domains": 4}}|};
   check_reject "overlapping scale thresholds" "invalid"
     {|{"bundle_version": 1, "pool": {"scale_up_depth": 1, "scale_down_depth": 1}}|};
-  check_reject "zero scale hysteresis" "invalid"
+  check_reject "zero scale hysteresis" "bad:pool.scale_hysteresis"
     {|{"bundle_version": 1, "pool": {"scale_hysteresis": 0}}|};
   check_reject "duplicate key" "parse"
     {|{"bundle_version": 1, "bundle_version": 1}|};
@@ -308,6 +308,101 @@ let test_opts_for () =
   Alcotest.(check bool) "reopt dropped at level 0" true
     (gcc.O.reopt_threshold = None)
 
+(* ------------------------------------------------------------------ *)
+(* The committed bundle and the knob registry                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The shipped bundle.json re-reads to the same digest and re-prints
+   byte for byte: the registry-derived codec keeps the field order and
+   layout of the file the autotuner wrote. *)
+let test_committed_bundle () =
+  let path = "../bundle.json" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match B.load path with
+  | Error e -> Alcotest.failf "bundle.json: %s" (B.error_to_string e)
+  | Ok b ->
+      Alcotest.(check string) "digest" "ea494a40"
+        (Printf.sprintf "%08x" (B.digest b));
+      Alcotest.(check string) "re-printed byte for byte" text (B.to_string b)
+
+(* One non-default value per knob kind ([None] for the nested records,
+   whose own knobs are bumped one by one instead). *)
+let bump_leaf : type a. a O.kind -> a -> a option =
+ fun kind v ->
+  match kind with
+  | O.K_bool -> Some (not v)
+  | O.K_int -> Some (v + 1)
+  | O.K_int_opt -> Some (Some (Option.value v ~default:0 + 1))
+  | O.K_float_opt -> Some (Some 0.5)
+  | O.K_policy -> Some (if v = O.Flush_fifo then O.Flush_full else O.Flush_fifo)
+  | O.K_passes -> Some [ O.Copy_prop ]
+  | O.K_record _ | O.K_record_opt _ -> None
+
+(* Every single-knob change of [r], nested knobs included. *)
+let rec variants : type r. r O.knob list -> r -> r list =
+ fun knobs r ->
+  List.concat_map
+    (fun (O.Knob k) ->
+      let v = k.get r in
+      match (k.kind, v) with
+      | O.K_record ks, _ -> List.map (k.set r) (variants ks v)
+      | O.K_record_opt (ks, d), _ ->
+          List.map (fun x -> k.set r (Some x)) (d :: variants ks d)
+      | kind, _ -> List.map (k.set r) (Option.to_list (bump_leaf kind v)))
+    knobs
+
+(* Each knob reaches the file and comes back: a bundle differing from a
+   valid base in one knob round-trips through to_string/of_string. *)
+let test_registry_roundtrip () =
+  let base =
+    { B.b_opts = { O.default with O.opt_level = 2; flush_policy = O.Flush_full };
+      b_pool = O.default_pool; b_overrides = []; b_provenance = B.default_provenance }
+  in
+  let cases =
+    List.map (fun o -> { base with B.b_opts = o }) (variants O.engine_knobs base.B.b_opts)
+    @ List.map (fun p -> { base with B.b_pool = p }) (variants O.pool_knobs base.B.b_pool)
+  in
+  (* 22 plain engine knobs, 11 costs, faults on + its 6 knobs, 15 pool *)
+  Alcotest.(check int) "one case per knob" 55 (List.length cases);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "differs from base" false (b = base);
+      match B.of_string (B.to_string b) with
+      | Ok b' -> Alcotest.(check bool) (B.to_string b) true (b' = b)
+      | Error e -> Alcotest.failf "%s\n%s" (B.error_to_string e) (B.to_string b))
+    cases
+
+(* The registry covers every record field exactly once: bumping each
+   top-level knob changes exactly one field, and the knobs' fields are
+   all of the record's. *)
+let check_covers : type r. string -> r O.knob list -> r -> unit =
+ fun what knobs r ->
+  let fields x = Array.init (Obj.size (Obj.repr x)) (Obj.field (Obj.repr x)) in
+  let before = fields r in
+  let touched =
+    List.map
+      (fun knob ->
+        let after = fields (List.hd (variants [ knob ] r)) in
+        match
+          List.filter (fun i -> compare before.(i) after.(i) <> 0)
+            (List.init (Array.length before) Fun.id)
+        with
+        | [ i ] -> i
+        | is ->
+            let (O.Knob k) = knob in
+            Alcotest.failf "%s.%s touches %d fields" what k.name (List.length is))
+      knobs
+  in
+  Alcotest.(check (list int)) (what ^ ": every field once")
+    (List.init (Array.length before) Fun.id)
+    (List.sort compare touched)
+
+let test_registry_covers_fields () =
+  check_covers "engine" O.engine_knobs O.default;
+  check_covers "costs" O.cost_knobs O.default_costs;
+  check_covers "faults" O.fault_knobs O.default_faults;
+  check_covers "pool" O.pool_knobs O.default_pool
+
 let () =
   Alcotest.run "bundle"
     [
@@ -324,5 +419,9 @@ let () =
           Alcotest.test_case "embedded digest verified" `Quick
             test_digest_verified;
           Alcotest.test_case "override projection" `Quick test_opts_for;
+          Alcotest.test_case "committed bundle.json" `Quick test_committed_bundle;
+          Alcotest.test_case "every knob round-trips" `Quick test_registry_roundtrip;
+          Alcotest.test_case "registry covers every field" `Quick
+            test_registry_covers_fields;
         ] );
     ]

@@ -342,6 +342,33 @@ let test_options_mismatch () =
   | Some (Ok _) -> Alcotest.fail "options skew accepted"
   | None -> assert false
 
+(* The options digest names a configuration by value: two equal option
+   records that differ only in physical sharing (one pass list used for
+   both [opt_enable] and [opt_disable], or two copies of it) digest
+   equally, and an image saved under one warm-boots under the other. *)
+let test_digest_ignores_sharing () =
+  let w = wl "gzip" in
+  let input = Workload.request_input ~seed:3 @ w.Workload.input in
+  let passes = [ Rio.Options.Copy_prop ] in
+  let base = opts_for ~level:2 ~fifo:false in
+  let shared = { base with opt_enable = passes; opt_disable = passes } in
+  let copied = { shared with opt_disable = List.map Fun.id passes } in
+  checkb "structurally equal" true (shared = copied);
+  checki "equal digests" (Rio.Options.digest shared) (Rio.Options.digest copied);
+  let native = Workload.run_native (Workload.with_input w input) in
+  with_tmp (fun path ->
+      let _, _, rt = serve_once ~opts:shared w input in
+      let image = Asm.Assemble.assemble w.Workload.program in
+      ignore
+        (Rio.Engine.save_image rt ~image_digest:(Asm.Image.digest image) ~path);
+      let loaded, out, _ = serve_once ~cache:path ~opts:copied w input in
+      (match loaded with
+      | Some (Ok _) -> ()
+      | Some (Error e) ->
+          Alcotest.fail ("image refused: " ^ Rio.Persist.error_to_string e)
+      | None -> assert false);
+      check_ilist "warm-booted output" native.Workload.output out)
+
 let test_image_mismatch () =
   (* same options, different program: the digest check must refuse *)
   let master, opts, _, _ = Lazy.force saved_image in
@@ -378,6 +405,8 @@ let () =
           Alcotest.test_case "truncated header" `Quick test_truncated_header;
           Alcotest.test_case "truncated payload" `Quick test_truncated_payload;
           Alcotest.test_case "options mismatch" `Quick test_options_mismatch;
+          Alcotest.test_case "options digest ignores sharing" `Quick
+            test_digest_ignores_sharing;
           Alcotest.test_case "program mismatch" `Quick test_image_mismatch;
         ] );
     ]
