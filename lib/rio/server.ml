@@ -87,11 +87,15 @@ type conn = {
   c_cid : int;  (* connection id, keys the routing table *)
 }
 
-(* Append available bytes; false when the peer closed.  The chunk is
-   allocated per call so concurrent server loops (one per domain in
-   tests) never share scratch state. *)
+(* One read chunk per domain: a fresh 64KB chunk per read would be a
+   major-heap block each time, and concurrent server loops (one per
+   domain) must never share scratch state.  Within a domain, [pull]'s
+   caller consumes the bytes before the next read. *)
+let chunk_key = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+(* Append available bytes; false when the peer closed. *)
 let pull (c : conn) : bool =
-  let chunk = Bytes.create 65536 in
+  let chunk = Domain.DLS.get chunk_key in
   match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
   | 0 -> false
   | n ->

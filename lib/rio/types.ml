@@ -377,7 +377,9 @@ let charge_opt (rt : runtime) n =
     rt.stats.Stats.sideline_cycles <- rt.stats.Stats.sideline_cycles + n
   else charge rt n
 
+(* formats only when the flow log is on: the calls sit on the dispatch,
+   trace-entry and IBL-hit paths *)
 let log_flow (rt : runtime) fmt =
-  Printf.ksprintf
-    (fun s -> if rt.log_flow then rt.flow_log <- s :: rt.flow_log)
-    fmt
+  if rt.log_flow then
+    Printf.ksprintf (fun s -> rt.flow_log <- s :: rt.flow_log) fmt
+  else Printf.ikfprintf ignore () fmt

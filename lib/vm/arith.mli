@@ -12,10 +12,23 @@ val to_signed : int -> int
 val of_signed : int -> int
 val parity : int -> bool
 
-type result = { value : int; flags : Eflags.t }
+type result = int
+(** A 32-bit value and the flags it sets, packed into one immediate
+    int so that computing it allocates nothing; read it with {!value}
+    and {!flags}. *)
 
-val add : ?carry_in:bool -> int -> int -> Eflags.t -> result
-val sub : ?borrow_in:bool -> int -> int -> Eflags.t -> result
+val value : result -> int
+val flags : result -> Eflags.t
+
+val add : int -> int -> Eflags.t -> result
+val adc : int -> int -> Eflags.t -> result
+(** [add] with the incoming flags' CF as carry-in. *)
+
+val sub : int -> int -> Eflags.t -> result
+(** [sub a b fl] computes [a - b]. *)
+
+val sbb : int -> int -> Eflags.t -> result
+(** [sub] with the incoming flags' CF as borrow-in. *)
 
 val inc : int -> Eflags.t -> result
 (** Like [add 1] but CF is preserved — the asymmetry the
@@ -33,8 +46,11 @@ val imul : int -> int -> Eflags.t -> result
 
 exception Division_by_zero
 
-val idiv : eax:int -> int -> Eflags.t -> int * int * Eflags.t
-(** [(quotient, remainder, flags)]; truncated signed division. *)
+val idiv : eax:int -> int -> Eflags.t -> result
+(** Quotient and flags of truncated signed division. *)
+
+val irem : eax:int -> int -> int
+(** Remainder of the same division; it keeps the dividend's sign. *)
 
 val fcmp : float -> float -> Eflags.t -> Eflags.t
 (** comisd-style: unordered sets ZF/PF/CF; [>] clears all; [<] sets CF;

@@ -1,8 +1,9 @@
 (** The SynISA executor: runs one hardware thread until an event stops
-    it.  In cached mode, decoded instructions are reused (native
-    hardware fetch, and how code-cache contents run); in emulate mode
-    every instruction is re-decoded and charged the interpreter
-    overhead (Table 1's first row). *)
+    it.  Each decoded instruction is compiled once into a closure with
+    its operands resolved.  In cached mode, compiled instructions are
+    reused (native hardware fetch, and how code-cache contents run); in
+    emulate mode every instruction is re-decoded, recompiled and charged
+    the interpreter overhead (Table 1's first row). *)
 
 type stop =
   | Halted

@@ -15,12 +15,19 @@ open Isa
 type islot = {
   mutable is_pc : int;               (* -1 = never filled *)
   mutable is_gen : int;              (* page generation when filled *)
-  mutable is_insn : Insn.t;
   mutable is_len : int;
   mutable is_cost : int;             (* static (operand-shape) cycles *)
+  mutable is_exec : exec;
 }
 
-type thread = {
+(* An instruction compiled once, when its slot is filled: operand
+   shapes, register numbers, immediates and the fall-through pc are
+   resolved, so a step only calls it.  It captures no slot, so refilling
+   or dropping a slot releases it.  Stops (halt, trap, fault...) leave
+   it by exception; see {!Interp}. *)
+and exec = t -> thread -> unit
+
+and thread = {
   tid : int;
   regs : int array;                  (* 8 GPRs, unsigned 32-bit values *)
   fregs : float array;               (* 8 FP regs *)
@@ -30,7 +37,7 @@ type thread = {
   mutable pending_signals : int list;  (* handler addresses, FIFO *)
 }
 
-type t = {
+and t = {
   mem : Memory.t;
   cost : Cost.t;
   pred : Cost.predictor;
@@ -42,10 +49,11 @@ type t = {
   mutable next_tid : int;
   mutable trap_base : int;           (* addresses >= trap_base trap to the runtime *)
   (* decoded-instruction cache: models the hardware fetch/decode path.
-     Direct-mapped on the low pc bits; invalidation is a per-4KB-page
-     generation bump, so the RIO layer's post-patch invalidations are
-     O(pages touched) instead of O(bytes).  Hit/miss behaviour is purely
-     a host-time concern — decode is free in the cost model. *)
+     Direct-mapped on the low pc bits.  Invalidating less than a page
+     drops exactly the slots whose decode overlaps the bytes; larger
+     ranges bump per-4KB-page generations, O(pages) instead of O(bytes).
+     Hit/miss behaviour is purely a host-time concern — decode is free
+     in the cost model. *)
   icache : islot array;
   icache_gens : int array;           (* one generation per 4KB page *)
   emu_slot : islot;                  (* scratch slot for uncached decode *)
@@ -62,8 +70,16 @@ type t = {
 let icache_bits = 15
 let icache_mask = (1 lsl icache_bits) - 1
 
+(* the executor of a slot that holds none; never runs, because such a
+   slot has is_pc = -1 and never hits *)
+let no_exec : exec = fun _ _ -> invalid_arg "Machine: empty icache slot"
+
 let fresh_islot () =
-  { is_pc = -1; is_gen = 0; is_insn = Insn.mk_hlt (); is_len = 0; is_cost = 0 }
+  { is_pc = -1; is_gen = 0; is_len = 0; is_cost = 0; is_exec = no_exec }
+
+let drop_islot s =
+  s.is_pc <- -1;
+  s.is_exec <- no_exec
 
 (* All lines start out pointing at one shared never-filled slot
    (is_pc = -1, so it can never hit); a line gets its own record on
@@ -184,70 +200,32 @@ let static_cost (c : Cost.t) (i : Insn.t) : int =
 
 exception Bad_code of { pc : int; err : Decode.error }
 
-(** Fetch-and-decode with caching.  Returns the (mutable, reused) cache
-    slot — valid until the next fetch that maps to the same line. *)
-let fetch_slot m pc : islot =
-  let slot = Array.unsafe_get m.icache (pc land icache_mask) in
-  let gens = m.icache_gens in
-  let gi = pc lsr Memory.page_bits in
-  (* a pc outside memory never matches (slots are only filled after a
-     successful decode) and faults in the decoder below *)
-  let gen = if gi < Array.length gens then Array.unsafe_get gens gi else 0 in
-  if slot.is_pc = pc && slot.is_gen = gen then slot
-  else
-    match Decode.full (Memory.fetch m.mem) pc with
-    | Error err -> raise (Bad_code { pc; err })
-    | Ok (insn, len) ->
-        let slot =
-          if slot == dummy_islot then begin
-            let s = fresh_islot () in
-            Array.unsafe_set m.icache (pc land icache_mask) s;
-            s
-          end
-          else slot
-        in
-        slot.is_pc <- pc;
-        slot.is_gen <- gen;
-        slot.is_insn <- insn;
-        slot.is_len <- len;
-        slot.is_cost <- static_cost m.cost insn;
-        (* executed code becomes write-watched so self-modification
-           is detected (code-cache / icache consistency) *)
-        Memory.watch_code m.mem ~addr:pc ~len;
-        slot
-
-(** Decode without caching (the pure-emulation path re-decodes every
-    time, which is the point of Table 1's first row).  Fills the
-    machine's scratch slot. *)
-let fetch_slot_nocache m pc : islot =
-  match Decode.full (Memory.fetch m.mem) pc with
-  | Error err -> raise (Bad_code { pc; err })
-  | Ok (insn, len) ->
-      let slot = m.emu_slot in
-      slot.is_pc <- pc;
-      slot.is_insn <- insn;
-      slot.is_len <- len;
-      slot.is_cost <- static_cost m.cost insn;
-      slot
-
 (** Invalidate cached decodes for [len] bytes at [addr].  The RIO layer
-    calls this after writing code (patching links, emitting fragments). *)
+    calls this after writing code (patching links, emitting fragments),
+    the interpreter after self-modifying stores. *)
 let invalidate_icache m ~addr ~len =
-  (* conservative: decoded instructions are at most 13 bytes long, so
-     also cover decodes starting shortly before the range; the page
-     generation bump invalidates every cached decode on those pages *)
+  (* decoded instructions are at most 13 bytes long, so decodes starting
+     up to 13 bytes before the range may overlap it *)
   let lo = max 0 (addr - 13) in
-  let hi = addr + len - 1 in
-  let gens = m.icache_gens in
-  let p1 = min (Array.length gens - 1) (hi lsr Memory.page_bits) in
-  for p = lo lsr Memory.page_bits to p1 do
-    gens.(p) <- gens.(p) + 1
-  done
+  if len < 1 lsl Memory.page_bits then
+    for pc = lo to addr + len - 1 do
+      let s = Array.unsafe_get m.icache (pc land icache_mask) in
+      (* the shared never-filled slot has is_pc = -1: never written *)
+      if s.is_pc = pc && pc + s.is_len > addr then drop_islot s
+    done
+  else begin
+    let hi = addr + len - 1 in
+    let gens = m.icache_gens in
+    let p1 = min (Array.length gens - 1) (hi lsr Memory.page_bits) in
+    for p = lo lsr Memory.page_bits to p1 do
+      gens.(p) <- gens.(p) + 1
+    done
+  end
 
 let reset_hardware m =
   (* the shared never-filled slot is read-only: lines still pointing at
      it were never filled, and writing it would race between domains *)
-  Array.iter (fun s -> if s != dummy_islot then s.is_pc <- -1) m.icache;
+  Array.iter (fun s -> if s != dummy_islot then drop_islot s) m.icache;
   Cost.reset_predictor m.pred
 
 (** Reset the per-run machine state for serving a new request on a

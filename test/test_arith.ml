@@ -6,8 +6,8 @@ open Isa
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let flag r f = Eflags.is_set r.Vm.Arith.flags f
-let v r = r.Vm.Arith.value
+let flag r f = Eflags.is_set (Vm.Arith.flags r) f
+let v r = Vm.Arith.value r
 
 let e = Eflags.empty
 
@@ -42,7 +42,7 @@ let test_sub_signed_overflow () =
 let test_adc_chain () =
   (* 64-bit add via adc: 0xFFFFFFFF_FFFFFFFF + 1 = 0x1_00000000_00000000 *)
   let lo = Vm.Arith.add 0xFFFFFFFF 1 e in
-  let hi = Vm.Arith.add ~carry_in:(flag lo CF) 0xFFFFFFFF 0 lo.flags in
+  let hi = Vm.Arith.adc 0xFFFFFFFF 0 (Vm.Arith.flags lo) in
   checki "lo" 0 (v lo);
   checki "hi" 0 (v hi);
   checkb "final carry out" true (flag hi CF)
@@ -50,18 +50,18 @@ let test_adc_chain () =
 let test_inc_dec_preserve_cf () =
   let base = Vm.Arith.add 0xFFFFFFFF 1 e in
   checkb "setup CF" true (flag base CF);
-  let r = Vm.Arith.inc 41 base.flags in
+  let r = Vm.Arith.inc 41 (Vm.Arith.flags base) in
   checki "inc" 42 (v r);
   checkb "CF preserved by inc" true (flag r CF);
-  let r = Vm.Arith.dec 42 base.flags in
+  let r = Vm.Arith.dec 42 (Vm.Arith.flags base) in
   checki "dec" 41 (v r);
   checkb "CF preserved by dec" true (flag r CF);
   (* but OF/ZF/SF are fully recomputed *)
-  let r = Vm.Arith.inc 0x7FFFFFFF base.flags in
+  let r = Vm.Arith.inc 0x7FFFFFFF (Vm.Arith.flags base) in
   checkb "inc sets OF at INT_MAX" true (flag r OF)
 
 let test_logic_clears_cf_of () =
-  let dirty = (Vm.Arith.add 0x7FFFFFFF 0x7FFFFFFF e).flags in
+  let dirty = Vm.Arith.flags (Vm.Arith.add 0x7FFFFFFF 0x7FFFFFFF e) in
   let r = Vm.Arith.land_ 0xF0 0x0F dirty in
   checki "and" 0 (v r);
   checkb "ZF" true (flag r ZF);
@@ -87,7 +87,7 @@ let test_shifts () =
   let r = Vm.Arith.sar 0x80000000 4 e in
   checki "sar sign-extends" 0xF8000000 (v r);
   (* count 0 leaves flags untouched *)
-  let dirty = (Vm.Arith.add 0xFFFFFFFF 1 e).flags in
+  let dirty = Vm.Arith.flags (Vm.Arith.add 0xFFFFFFFF 1 e) in
   let r = Vm.Arith.shl 5 0 dirty in
   checkb "count-0 keeps CF" true (flag r CF);
   (* counts are masked to 5 bits like IA-32 *)
@@ -113,7 +113,8 @@ let test_imul () =
   checkb "no overflow" false (flag r CF)
 
 let test_idiv () =
-  let q, r, _ = Vm.Arith.idiv ~eax:(Vm.Arith.of_signed (-17)) 5 e in
+  let eax = Vm.Arith.of_signed (-17) in
+  let q = v (Vm.Arith.idiv ~eax 5 e) and r = Vm.Arith.irem ~eax 5 in
   checki "quotient truncates toward zero" (Vm.Arith.of_signed (-3)) q;
   checki "remainder keeps dividend sign" (Vm.Arith.of_signed (-2)) r;
   checkb "div by zero raises" true
@@ -149,12 +150,12 @@ let prop_flags_within_declared =
       let fl0 = (a * 31 + b) land Eflags.all_mask in
       let op, mask =
         match which with
-        | 0 -> ((fun () -> (Vm.Arith.add a b fl0).flags), Opcode.eflags Opcode.Add)
-        | 1 -> ((fun () -> (Vm.Arith.sub a b fl0).flags), Opcode.eflags Opcode.Sub)
-        | 2 -> ((fun () -> (Vm.Arith.inc a fl0).flags), Opcode.eflags Opcode.Inc)
-        | 3 -> ((fun () -> (Vm.Arith.land_ a b fl0).flags), Opcode.eflags Opcode.And)
-        | 4 -> ((fun () -> (Vm.Arith.imul a b fl0).flags), Opcode.eflags Opcode.Imul)
-        | _ -> ((fun () -> (Vm.Arith.neg a fl0).flags), Opcode.eflags Opcode.Neg)
+        | 0 -> ((fun () -> Vm.Arith.flags (Vm.Arith.add a b fl0)), Opcode.eflags Opcode.Add)
+        | 1 -> ((fun () -> Vm.Arith.flags (Vm.Arith.sub a b fl0)), Opcode.eflags Opcode.Sub)
+        | 2 -> ((fun () -> Vm.Arith.flags (Vm.Arith.inc a fl0)), Opcode.eflags Opcode.Inc)
+        | 3 -> ((fun () -> Vm.Arith.flags (Vm.Arith.land_ a b fl0)), Opcode.eflags Opcode.And)
+        | 4 -> ((fun () -> Vm.Arith.flags (Vm.Arith.imul a b fl0)), Opcode.eflags Opcode.Imul)
+        | _ -> ((fun () -> Vm.Arith.flags (Vm.Arith.neg a fl0)), Opcode.eflags Opcode.Neg)
       in
       let fl1 = op () in
       let changed = fl0 lxor fl1 in

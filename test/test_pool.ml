@@ -245,7 +245,13 @@ let pool_case () =
   (* 12 requests over 4 workloads x 2 domains: at most 8 cold boots *)
   Alcotest.(check bool) "some requests served warm" true
     (snap.Rio.Pool.snap_warm_hits > 0);
-  (* a second, all-warm pass on the same pool *)
+  (* a second pass on the same pool: an idle domain may steal a request
+     for a key it never served and cold-boot it, so "fully warm" is not
+     guaranteed — but a request may run cold only on a (worker, key)
+     pair that had no warm instance after the first pass *)
+  let warm1 =
+    List.map (fun (w, k, _) -> (w, k)) (Rio.Pool.warm_instances pool)
+  in
   Rio.Pool.reset_counters pool;
   List.iter (submit_ok pool) (pool_requests n);
   let results2 = Rio.Pool.drain pool in
@@ -258,8 +264,15 @@ let pool_case () =
            r.Rio.Pool.res_seed)
         true r.Rio.Pool.res_ok)
     results2;
-  Alcotest.(check int) "second pass fully warm" n
-    snap2.Rio.Pool.snap_warm_hits;
+  List.iter
+    (fun r ->
+      if not r.Rio.Pool.res_warm then
+        Alcotest.(check bool)
+          (Printf.sprintf "pass2 %s seed %d cold only on a new (worker, key)"
+             r.Rio.Pool.res_key r.Rio.Pool.res_seed)
+          false
+          (List.mem (r.Rio.Pool.res_worker, r.Rio.Pool.res_key) warm1))
+    results2;
   (* merged stats cover work from both domains *)
   Alcotest.(check bool) "merged stats saw blocks" true
     (snap2.Rio.Pool.snap_stats.Rio.Stats.blocks_built > 0)

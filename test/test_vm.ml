@@ -451,6 +451,205 @@ let test_unknown_label () =
      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Compiled executors against the reference model                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Program pieces: safe straight-line instructions (scratch memory off
+   ebp/esi only) plus control flow and stack traffic.  Subroutines are
+   called repeatedly, so cached executors are reused. *)
+type piece =
+  | Straight of Isa.Insn.t
+  | Skip of Isa.Cond.t * Isa.Insn.t      (* jcc over one instruction *)
+  | Skip_ind of Isa.Insn.t               (* jmp* over one instruction *)
+  | Call_sub of int * bool               (* subroutine; true: via call* *)
+  | Push_pop of Isa.Operand.t * Isa.Operand.t
+
+let n_subs = 2
+
+let gen_piece : piece QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (8, map (fun i -> Straight i) Gen.safe_insn);
+      (2, map2 (fun c i -> Skip (c, i)) Gen.cond Gen.safe_insn);
+      (1, map (fun i -> Skip_ind i) Gen.safe_insn);
+      (2, map2 (fun k ind -> Call_sub (k, ind)) (int_range 0 (n_subs - 1)) bool);
+      (1, map2 (fun s d -> Push_pop (s, d)) Gen.safe_src Gen.safe_rm);
+    ]
+
+(* subroutine bodies keep the stack balanced so [ret] finds its address *)
+let gen_sub_insn : Isa.Insn.t QCheck2.Gen.t =
+  QCheck2.Gen.map
+    (fun (i : Isa.Insn.t) ->
+      if Isa.Opcode.implicit_stack_read i.opcode
+         || Isa.Opcode.implicit_stack_write i.opcode
+      then Isa.Insn.mk_nop ()
+      else i)
+    Gen.safe_insn
+
+let gen_exec_program : (piece list * Isa.Insn.t list list) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  pair
+    (list_size (int_range 1 30) gen_piece)
+    (list_repeat n_subs (list_size (int_range 0 6) gen_sub_insn))
+
+let print_exec_program (pieces, subs) =
+  let ins = Gen.print_insn in
+  let piece = function
+    | Straight i -> ins i
+    | Skip (c, i) -> Printf.sprintf "j%s over: %s" (Isa.Cond.name c) (ins i)
+    | Skip_ind i -> "jmp* over: " ^ ins i
+    | Call_sub (k, ind) -> Printf.sprintf "call%s s%d" (if ind then "*" else "") k
+    | Push_pop (a, b) ->
+        Printf.sprintf "push %s; pop %s" (Fmt.str "%a" Isa.Operand.pp a)
+          (Fmt.str "%a" Isa.Operand.pp b)
+  in
+  String.concat "\n"
+    (List.map piece pieces
+    @ List.concat
+        (List.mapi (fun k b -> Printf.sprintf "s%d:" k :: List.map ins b @ [ "ret" ]) subs))
+
+let exec_image (pieces, subs) =
+  let n = ref 0 in
+  let fresh () = incr n; Printf.sprintf "l%d" !n in
+  let piece = function
+    | Straight i -> [ plain i ]
+    | Skip (c, i) -> let l = fresh () in [ j c l; plain i; label l ]
+    | Skip_ind i -> let l = fresh () in [ li edi l; jmp_ind edi; plain i; label l ]
+    | Call_sub (k, false) -> [ call (Printf.sprintf "s%d" k) ]
+    | Call_sub (k, true) -> [ li edi (Printf.sprintf "s%d" k); call_ind edi ]
+    | Push_pop (a, b) -> [ push a; pop b ]
+  in
+  let sub k body = (label (Printf.sprintf "s%d" k) :: List.map plain body) @ [ ret ] in
+  Asm.Assemble.assemble
+    (program ~name:"exec"
+       ~text:
+         ((label "main" :: List.concat_map piece pieces)
+         @ (hlt :: List.concat (List.mapi sub subs)))
+       ())
+
+let ebp_base = 0x20000
+let esi_base = 0x30000
+
+type final = {
+  f_stop : string;
+  f_pc : int;
+  f_regs : int list;
+  f_fregs : int64 list;
+  f_flags : int;
+  f_out : int list;
+  f_cycles : int;
+  f_insns : int;
+  f_mem : string list;
+}
+
+let run_exec image ~emulate run =
+  let m = Vm.Machine.create () in
+  let mem = Vm.Machine.mem m in
+  let t = Asm.Image.load m image in
+  for k = 0 to Gen.safe_slots - 1 do
+    Vm.Memory.write_u32 mem (ebp_base + (8 * k)) ((k + 1) * 0x01010101);
+    Vm.Memory.write_u32 mem (esi_base + (8 * k)) ((k + 3) * 0x00f0f0f1)
+  done;
+  List.iteri
+    (fun k r -> Vm.Machine.set_reg t r ((k * 0x9E3779B1) + 5))
+    Isa.Reg.[ Eax; Ecx; Edx; Ebx; Edi ];
+  Vm.Machine.set_reg t Isa.Reg.Ebp ebp_base;
+  Vm.Machine.set_reg t Isa.Reg.Esi esi_base;
+  List.iteri
+    (fun k f -> Vm.Machine.set_freg t f ((float_of_int k *. 1.5) -. 2.25))
+    Isa.Reg.F.all;
+  let stop = run m t ~budget:200_000 ~emulate in
+  let bytes addr len = Bytes.to_string (Vm.Memory.read_bytes mem ~addr ~len) in
+  let stack = Asm.Image.default_stack_top in
+  {
+    f_stop = Vm.Interp.stop_to_string stop;
+    f_pc = t.Vm.Machine.pc;
+    f_regs = List.map (Vm.Machine.get_reg t) Isa.Reg.all;
+    f_fregs =
+      List.map (fun f -> Int64.bits_of_float (Vm.Machine.get_freg t f)) Isa.Reg.F.all;
+    f_flags = t.Vm.Machine.eflags;
+    f_out = Vm.Machine.output m;
+    f_cycles = Vm.Machine.cycles m;
+    f_insns = m.Vm.Machine.insns_retired;
+    f_mem =
+      [
+        bytes ebp_base (8 * Gen.safe_slots);
+        bytes esi_base (8 * Gen.safe_slots);
+        bytes (stack - 512) 512;
+        bytes image.Asm.Image.text_base (Bytes.length image.Asm.Image.text);
+      ];
+  }
+
+let prop_executors_match_reference ~emulate =
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "compiled executors = reference model (%s)"
+         (if emulate then "emulate" else "cached"))
+    ~count:300 ~print:print_exec_program gen_exec_program
+    (fun prog ->
+      let image = exec_image prog in
+      let a = run_exec image ~emulate Vm.Interp.run in
+      let b = run_exec image ~emulate Ref_interp.run in
+      if a = b then true
+      else
+        QCheck2.Test.fail_reportf
+          "executors: %s pc=0x%x cycles=%d insns=%d\nreference: %s pc=0x%x cycles=%d insns=%d\nregs %b fregs %b flags %b out %b mem %b"
+          a.f_stop a.f_pc a.f_cycles a.f_insns b.f_stop b.f_pc b.f_cycles b.f_insns
+          (a.f_regs = b.f_regs) (a.f_fregs = b.f_fregs) (a.f_flags = b.f_flags)
+          (a.f_out = b.f_out) (a.f_mem = b.f_mem))
+
+(* Patching an executed instruction's immediate drops exactly that
+   instruction's compiled slot: the next execution sees the new value,
+   while a compiled instruction 64 bytes away on the same page keeps
+   its executor.  Invalidating a whole page drops it too.  (Both
+   checked slots capture operands: an executor without free variables
+   is a static closure, equal to itself across recompilation.) *)
+let test_smc_exact_invalidation () =
+  let image =
+    Asm.Assemble.assemble
+      (program ~name:"smc"
+         ~text:
+           [
+             label "main"; jmp "a";
+             align 64; label "a"; mov eax (i 0x12345678); out eax; call "f"; hlt;
+             align 64; label "f"; mov ebx (i 7); ret;
+           ]
+         ())
+  in
+  let a = Asm.Image.label image "a" and f = Asm.Image.label image "f" in
+  Alcotest.(check int) "f is 64 bytes past a" 64 (f - a);
+  checkb "same page" true (a lsr Vm.Memory.page_bits = f lsr Vm.Memory.page_bits);
+  let m = Vm.Machine.create () in
+  let t = Asm.Image.load m image in
+  let main = t.Vm.Machine.pc in
+  let run () =
+    t.Vm.Machine.pc <- main;
+    t.Vm.Machine.alive <- true;
+    match Vm.Interp.run m t ~budget:10_000 ~emulate:false with
+    | Vm.Interp.Halted -> ()
+    | s -> Alcotest.failf "stopped with %s" (Vm.Interp.stop_to_string s)
+  in
+  let slot pc = m.Vm.Machine.icache.(pc land Vm.Machine.icache_mask) in
+  let exec pc =
+    let s = slot pc in
+    checkb (Printf.sprintf "0x%x compiled" pc) true (s.Vm.Machine.is_pc = pc);
+    s.Vm.Machine.is_exec
+  in
+  run ();
+  let exec_a = exec a and exec_f = exec f in
+  (* the imm32 is the mov's last four bytes *)
+  Vm.Memory.write_u32 (Vm.Machine.mem m) (a + (slot a).Vm.Machine.is_len - 4) 0x0BADF00D;
+  run ();
+  check_ilist "new immediate on next execution" [ 0x12345678; 0x0BADF00D ]
+    (Vm.Machine.output m);
+  checkb "patched slot recompiled" false (exec a == exec_a);
+  checkb "slot 64 bytes away kept" true (exec f == exec_f);
+  Vm.Machine.invalidate_icache m ~addr:(a land lnot 0xFFF) ~len:4096;
+  run ();
+  checkb "page invalidation recompiles it" false (exec f == exec_f)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "vm"
@@ -481,6 +680,13 @@ let () =
         [
           Alcotest.test_case "two threads" `Quick test_two_threads;
           Alcotest.test_case "native signal" `Quick test_signal_native;
+        ] );
+      ( "executors",
+        [
+          QCheck_alcotest.to_alcotest (prop_executors_match_reference ~emulate:false);
+          QCheck_alcotest.to_alcotest (prop_executors_match_reference ~emulate:true);
+          Alcotest.test_case "smc drops only the patched slot" `Quick
+            test_smc_exact_invalidation;
         ] );
       ( "assembler",
         [
